@@ -17,11 +17,11 @@ test:
 
 # Short fuzzing pass over the iQL parser, evaluator, the
 # serial-vs-parallel differential harness, the durable store's WAL and
-# snapshot decoders, and the compacted-segment decoder (30s per target;
-# iQL seed corpora live in internal/iql/testdata/fuzz/, the segment
-# seed is testdata/store/compact.seg, store corpora are generated
-# in-test). Each target must run alone: `go test -fuzz` accepts only
-# one fuzz target per invocation.
+# snapshot decoders, the replication batch decoder and the server's
+# request handling (30s per target; iQL seed corpora live in
+# internal/iql/testdata/fuzz/, store corpora are generated in-test).
+# Each target must run alone: `go test -fuzz` accepts only one fuzz
+# target per invocation.
 fuzz-smoke:
 	$(GO) test ./internal/iql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s
 	$(GO) test ./internal/iql -run '^$$' -fuzz '^FuzzEval$$' -fuzztime 30s
@@ -29,7 +29,6 @@ fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime 30s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSnapshotLoad$$' -fuzztime 30s
 	$(GO) test ./internal/repl -run '^$$' -fuzz '^FuzzShipDecode$$' -fuzztime 30s
-	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzSegmentDecode$$' -fuzztime 30s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzServerRequest$$' -fuzztime 30s
 
 # Quick multi-tenant soak: the imemexd load harness at a smoke scale
@@ -40,10 +39,10 @@ load-smoke:
 	$(GO) test -race ./internal/server -run 'TestLoadConcurrentTenants' -v \
 		-args -load-tenants=20 -load-clients=5 -load-iters=4
 
-# Storage-backend matrix: the Engine conformance suite (append, tail,
-# recovery, drop, digest, crash matrix, dir lock) against both backends,
-# plus every root-level crash/chaos/differential harness that is
-# backend-parameterized (docs/PERSISTENCE.md).
+# Storage matrix: the storage engine's conformance suite (append, tail,
+# recovery, drop, digest, crash matrix, dir lock) plus the root-level
+# crash, crash-during-snapshot, double-crash and replica-differential
+# harnesses, all on the one WAL engine (docs/PERSISTENCE.md).
 storage-matrix:
 	$(GO) test -race -v -run 'TestConformance|TestDirLock' ./internal/storage
 	$(GO) test -race -run 'TestCrashMatrix|TestCrashDuringSnapshot|TestDoubleCrashDuringRecovery|TestReplicaDifferential' .

@@ -26,7 +26,8 @@
 // a checksummed write-ahead log before they are applied, and a restart
 // recovers the catalog, indexes and replicas from the latest snapshot
 // plus the WAL tail (see docs/PERSISTENCE.md). -fsync tunes the flush
-// policy.
+// policy. A directory holding a compact/ subdirectory, written by the
+// removed compact storage backend, is refused.
 //
 // -resilient wraps every source in the retry/timeout/circuit-breaker
 // proxy; -fault injects deterministic failures for chaos drills (e.g.
@@ -68,7 +69,6 @@ func main() {
 	failClosed := flag.Bool("fail-closed", false, "reject queries while a source is degraded instead of serving stale replicas")
 	dataDir := flag.String("data-dir", "", "durable dataspace directory: WAL + snapshots, recovered on startup (docs/PERSISTENCE.md)")
 	fsync := flag.String("fsync", "commit", "with -data-dir: WAL flush policy, commit|always|never")
-	backend := flag.String("backend", "wal", "with -data-dir: storage backend, wal|compact (must match the existing directory)")
 	replicaDir := flag.String("replica-dir", "", "with -data-dir: attach a WAL-shipping read replica in this directory (docs/REPLICATION.md)")
 	var faultRules []idm.FaultRule
 	flag.Func("fault", "inject a fault, spec point:kind[:p[:times]] (repeatable; kind error|latency[@dur]|partial|corrupt)", func(spec string) error {
@@ -109,10 +109,6 @@ func main() {
 		cfg.Fsync = idm.SyncNever
 	default:
 		fmt.Fprintf(os.Stderr, "imemex: unknown -fsync policy %q (commit|always|never)\n", *fsync)
-		os.Exit(2)
-	}
-	if cfg.Backend, err = idm.ParseStorageBackend(*backend); err != nil {
-		fmt.Fprintf(os.Stderr, "imemex: %v\n", err)
 		os.Exit(2)
 	}
 	if len(faultRules) > 0 {

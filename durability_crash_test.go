@@ -30,21 +30,12 @@ func durableFS() *vfs.FS {
 	return fs
 }
 
-// crashBackends are the storage backends every crash-safety matrix in
-// this file runs against (see docs/PERSISTENCE.md).
-var crashBackends = []idm.StorageBackend{idm.BackendWAL, idm.BackendCompact}
-
 func durableConfig(dir string, inj *idm.FaultInjector) idm.Config {
-	return durableConfigB(dir, idm.BackendWAL, inj)
+	return idm.Config{DataDir: dir, Now: fixedNow, Parallelism: 1, Faults: inj}
 }
 
-func durableConfigB(dir string, b idm.StorageBackend, inj *idm.FaultInjector) idm.Config {
-	return idm.Config{DataDir: dir, Backend: b, Now: fixedNow, Parallelism: 1, Faults: inj}
-}
-
-// logRelPaths lists the append-log files under a data directory,
-// relative to it, sorted: the WAL backend's wal/seg-*.wal segments
-// and/or the compact backend's compact/tail.wal.
+// logRelPaths lists the WAL segments under a data directory, relative
+// to it, sorted.
 func logRelPaths(t *testing.T, dir string) []string {
 	t.Helper()
 	var rels []string
@@ -53,9 +44,6 @@ func logRelPaths(t *testing.T, dir string) []string {
 			rels = append(rels, filepath.Join("wal", e.Name()))
 		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, "compact", "tail.wal")); err == nil {
-		rels = append(rels, filepath.Join("compact", "tail.wal"))
-	}
 	if len(rels) == 0 {
 		t.Fatalf("no append-log files under %s", dir)
 	}
@@ -63,12 +51,11 @@ func logRelPaths(t *testing.T, dir string) []string {
 	return rels
 }
 
-// walPrefixDigests merge-replays the append logs under dir in LSN
+// walPrefixDigests merge-replays the WAL segments under dir in LSN
 // order — exactly as recovery does — and returns the state digest after
 // every record prefix: digests[k] is the digest with the first k records
 // applied, so digests[0] is the empty state and digests[len-1] the full
-// one. Works for both backends: the compact backend's tail.wal uses the
-// same frame format as the WAL backend's segments.
+// one.
 func walPrefixDigests(t *testing.T, dir string) []string {
 	t.Helper()
 	type walRec struct {
@@ -132,17 +119,15 @@ func assertSegmentPrefixes(t *testing.T, crashedDir, refDir string) {
 // prefix. Re-syncing the source afterwards must converge byte-equal to
 // the reference final state.
 func TestCrashMatrix(t *testing.T) {
-	for _, backend := range crashBackends {
-		t.Run(backend.String(), func(t *testing.T) { crashMatrix(t, backend) })
-	}
+	t.Run("wal", crashMatrix)
 }
 
-func crashMatrix(t *testing.T, backend idm.StorageBackend) {
+func crashMatrix(t *testing.T) {
 	fs := durableFS()
 
 	// Reference run: the same scripted sync with no faults.
 	refDir := t.TempDir()
-	ref, _, err := idm.OpenDurable(durableConfigB(refDir, backend, nil))
+	ref, _, err := idm.OpenDurable(durableConfig(refDir, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +165,7 @@ func crashMatrix(t *testing.T, backend idm.StorageBackend) {
 				dir := t.TempDir()
 				inj := idm.NewFaultInjector(1)
 				inj.Add(idm.FaultRule{Point: mode.point, Kind: idm.FaultError, After: k - 1, Times: 1})
-				sys, _, err := idm.OpenDurable(durableConfigB(dir, backend, inj))
+				sys, _, err := idm.OpenDurable(durableConfig(dir, inj))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -197,7 +182,7 @@ func crashMatrix(t *testing.T, backend idm.StorageBackend) {
 				// Recover. Both crash modes lose exactly record k and
 				// everything after it: the recovered graph must be
 				// byte-equal to the reference prefix of k-1 records.
-				re, info, err := idm.OpenDurable(durableConfigB(dir, backend, nil))
+				re, info, err := idm.OpenDurable(durableConfig(dir, nil))
 				if err != nil {
 					t.Fatalf("recovery: %v", err)
 				}
@@ -236,17 +221,15 @@ func crashMatrix(t *testing.T, backend idm.StorageBackend) {
 // the checkpoint fails, but the WAL is intact and recovery still
 // reproduces the full state.
 func TestCrashDuringSnapshot(t *testing.T) {
-	for _, backend := range crashBackends {
-		t.Run(backend.String(), func(t *testing.T) { crashDuringSnapshot(t, backend) })
-	}
+	t.Run("wal", crashDuringSnapshot)
 }
 
-func crashDuringSnapshot(t *testing.T, backend idm.StorageBackend) {
+func crashDuringSnapshot(t *testing.T) {
 	fs := durableFS()
 	dir := t.TempDir()
 	inj := idm.NewFaultInjector(1)
 	inj.Add(idm.FaultRule{Point: "store/snapshot/write", Kind: idm.FaultError, Times: 1})
-	sys, _, err := idm.OpenDurable(durableConfigB(dir, backend, inj))
+	sys, _, err := idm.OpenDurable(durableConfig(dir, inj))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +245,7 @@ func crashDuringSnapshot(t *testing.T, backend idm.StorageBackend) {
 	}
 	sys.Close()
 
-	re, info, err := idm.OpenDurable(durableConfigB(dir, backend, nil))
+	re, info, err := idm.OpenDurable(durableConfig(dir, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,15 +265,13 @@ func crashDuringSnapshot(t *testing.T, backend idm.StorageBackend) {
 // replay destroys nothing, and the eventual clean recovery reaches the
 // exact reference state no matter where the replay died.
 func TestDoubleCrashDuringRecovery(t *testing.T) {
-	for _, backend := range crashBackends {
-		t.Run(backend.String(), func(t *testing.T) { doubleCrashDuringRecovery(t, backend) })
-	}
+	t.Run("wal", doubleCrashDuringRecovery)
 }
 
-func doubleCrashDuringRecovery(t *testing.T, backend idm.StorageBackend) {
+func doubleCrashDuringRecovery(t *testing.T) {
 	fs := durableFS()
 	dir := t.TempDir()
-	sys, _, err := idm.OpenDurable(durableConfigB(dir, backend, nil))
+	sys, _, err := idm.OpenDurable(durableConfig(dir, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +295,7 @@ func doubleCrashDuringRecovery(t *testing.T, backend idm.StorageBackend) {
 			// Second crash: recovery itself dies at replayed record k.
 			inj := idm.NewFaultInjector(1)
 			inj.Add(idm.FaultRule{Point: store.FaultReplay, Kind: idm.FaultError, After: k - 1, Times: 1})
-			if _, _, err := idm.OpenDurable(durableConfigB(dir, backend, inj)); err == nil {
+			if _, _, err := idm.OpenDurable(durableConfig(dir, inj)); err == nil {
 				t.Fatal("injected replay crash did not abort recovery")
 			} else if !errors.Is(err, store.ErrCrashed) {
 				t.Fatalf("replay crash error = %v, want store.ErrCrashed", err)
@@ -322,7 +303,7 @@ func doubleCrashDuringRecovery(t *testing.T, backend idm.StorageBackend) {
 
 			// Third open, clean: recovery must be unaffected by having
 			// been killed mid-replay and reach the full reference state.
-			re, info, err := idm.OpenDurable(durableConfigB(dir, backend, nil))
+			re, info, err := idm.OpenDurable(durableConfig(dir, nil))
 			if err != nil {
 				t.Fatalf("recovery after replay crash: %v", err)
 			}

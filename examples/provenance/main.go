@@ -7,9 +7,9 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
+	"os"
 
 	idm "repro"
 )
@@ -81,20 +81,18 @@ func main() {
 		fmt.Printf("  %.0f  %s\n", res.Scores[i], row[0].Path)
 	}
 
-	// --- Catalog persistence ----------------------------------------------
-	var buf bytes.Buffer
-	if err := sys.SaveCatalog(&buf); err != nil {
-		log.Fatal(err)
-	}
-	restored, err := idm.OpenWithCatalog(idm.Config{}, &buf)
+	// --- Persistence -----------------------------------------------------
+	// A durable dataspace keeps its catalog in the write-ahead log: after
+	// a restart, re-adding the source and indexing re-associates the live
+	// views with their persisted OIDs.
+	dir, err := os.MkdirTemp("", "provenance-*")
 	if err != nil {
 		log.Fatal(err)
 	}
-	restored.AddFileSystem("filesystem", fs)
-	restored.Index()
-	again, _ := restored.Query(`//paper.tex`)
-	fmt.Printf("\nOID stable across restart: %v (was %d, is %d)\n",
-		orig.Items[0].OID == again.Items[0].OID, orig.Items[0].OID, again.Items[0].OID)
+	defer os.RemoveAll(dir)
+	before := indexedOID(dir, fs, `//paper.tex`)
+	after := indexedOID(dir, fs, `//paper.tex`)
+	fmt.Printf("\nOID stable across restart: %v (was %d, is %d)\n", before == after, before, after)
 
 	// --- Federation ---------------------------------------------------------
 	peerFS := idm.NewFileSystem()
@@ -115,4 +113,27 @@ func main() {
 	for _, r := range fres.Rows {
 		fmt.Printf("  [%s] %s\n", r.Peer, r.Row[0].Path)
 	}
+}
+
+// indexedOID opens the durable dataspace in dir, adds fs, indexes it,
+// closes it again and returns the OID of the first result of q.
+func indexedOID(dir string, fs *idm.FS, q string) idm.OID {
+	sys, _, err := idm.OpenDurable(idm.Config{DataDir: dir})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := sys.AddFileSystem("filesystem", fs); err != nil {
+		log.Fatal(err)
+	}
+	if _, err := sys.Index(); err != nil {
+		log.Fatal(err)
+	}
+	res, err := sys.Query(q)
+	if err != nil || res.Count() == 0 {
+		log.Fatalf("query %s: %v (%d results)", q, err, res.Count())
+	}
+	if err := sys.Close(); err != nil {
+		log.Fatal(err)
+	}
+	return res.Items[0].OID
 }

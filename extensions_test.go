@@ -1,16 +1,23 @@
 package idm_test
 
 import (
-	"bytes"
 	"testing"
 
 	idm "repro"
 )
 
+// TestCatalogPersistenceStableOIDs checks that OIDs survive a restart
+// of a durable dataspace: after reopening the data directory, re-adding
+// the same sources and indexing re-associates the live views with their
+// persisted identities.
 func TestCatalogPersistenceStableOIDs(t *testing.T) {
 	d := idm.GenerateDataset(idm.DatasetConfig{Scale: 0.01, Seed: 3})
-	sys, err := idm.OpenDataset(d, idm.Config{Now: fixedNow})
+	cfg := idm.Config{DataDir: t.TempDir(), Now: fixedNow}
+	sys, _, err := idm.OpenDurable(cfg)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddDataset(d); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sys.Index(); err != nil {
@@ -20,28 +27,20 @@ func TestCatalogPersistenceStableOIDs(t *testing.T) {
 	if err != nil || before.Count() == 0 {
 		t.Fatalf("query: %v (%d)", err, before.Count())
 	}
+	count := sys.Count()
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	var buf bytes.Buffer
-	if err := sys.SaveCatalog(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := idm.OpenWithCatalog(idm.Config{Now: fixedNow}, &buf)
+	restored, _, err := idm.OpenDurable(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Count() != sys.Count() {
-		t.Errorf("restored count %d != %d", restored.Count(), sys.Count())
+	defer restored.Close()
+	if restored.Count() != count {
+		t.Errorf("recovered count %d != %d", restored.Count(), count)
 	}
-	// Re-attach the same sources and re-index: OIDs stay stable.
-	sys2, err := idm.OpenDataset(d, idm.Config{Now: fixedNow})
-	_ = sys2 // OpenDataset on a fresh System is the control; use restored for the assertion
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.AddFileSystem("filesystem", d.FS); err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.AddMail("email", d.Mail); err != nil {
+	if err := restored.AddDataset(d); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := restored.Index(); err != nil {
@@ -49,18 +48,12 @@ func TestCatalogPersistenceStableOIDs(t *testing.T) {
 	}
 	after, err := restored.Query(`//vldb2006.tex`)
 	if err != nil || after.Count() != before.Count() {
-		t.Fatalf("after restore: %v (%d vs %d)", err, after.Count(), before.Count())
+		t.Fatalf("after restart: %v (%d vs %d)", err, after.Count(), before.Count())
 	}
 	for i := range before.Items {
 		if before.Items[i].OID != after.Items[i].OID {
 			t.Errorf("OID changed across restart: %d → %d", before.Items[i].OID, after.Items[i].OID)
 		}
-	}
-}
-
-func TestOpenWithCatalogCorrupt(t *testing.T) {
-	if _, err := idm.OpenWithCatalog(idm.Config{}, bytes.NewReader([]byte("junk"))); err == nil {
-		t.Error("corrupt catalog accepted")
 	}
 }
 

@@ -33,7 +33,6 @@ package idm
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"time"
@@ -53,7 +52,6 @@ import (
 	"repro/internal/sources/mailplugin"
 	"repro/internal/sources/relplugin"
 	"repro/internal/sources/rssplugin"
-	"repro/internal/storage"
 	"repro/internal/store"
 	"repro/internal/stream"
 	"repro/internal/vfs"
@@ -124,28 +122,7 @@ type (
 	// RecoveryInfo reports what a durable open reconstructed: snapshot
 	// loaded, WAL records replayed, torn tails tolerated, warnings.
 	RecoveryInfo = store.RecoveryInfo
-	// StorageBackend selects the durable storage engine for
-	// Config.Backend (see docs/PERSISTENCE.md).
-	StorageBackend = storage.Backend
-	// StorageEngine is the pluggable storage contract both backends
-	// satisfy (see internal/storage).
-	StorageEngine = storage.Engine
 )
-
-// Storage backends for Config.Backend.
-const (
-	// BackendWAL (the default) is the write-optimized engine: per-source
-	// WAL segments plus atomic snapshots.
-	BackendWAL = storage.BackendWAL
-	// BackendCompact is the read-optimized engine: one immutable sorted
-	// segment per source, rebuilt by compaction, plus an append tail —
-	// suited to read-heavy replicas.
-	BackendCompact = storage.BackendCompact
-)
-
-// ParseStorageBackend parses a backend name ("wal", "compact"; ""
-// selects the default) — the imemex -backend flag uses it.
-func ParseStorageBackend(s string) (StorageBackend, error) { return storage.ParseBackend(s) }
 
 // Fsync policies for Config.Fsync.
 const (
@@ -284,12 +261,6 @@ type Config struct {
 	// Fsync selects the WAL flush policy (default SyncOnCommit); only
 	// meaningful with DataDir.
 	Fsync SyncPolicy
-	// Backend selects the storage engine for DataDir (default
-	// BackendWAL, the write-optimized per-source WAL store; see
-	// BackendCompact for the read-optimized compacted segment store).
-	// Only meaningful with DataDir, and must match what the directory
-	// was created with. See docs/PERSISTENCE.md.
-	Backend StorageBackend
 }
 
 // DefaultSlowQuery is the slow-query threshold applied when
@@ -326,7 +297,7 @@ type System struct {
 	qlog       *obs.QueryLog // nil when disabled
 	met        systemMetrics
 	degraded   DegradedReadPolicy
-	store      storage.Engine // nil when in-memory
+	store      *store.Store // nil when in-memory
 
 	// closeOnce makes Close idempotent: the first call closes the store
 	// and keeps its error, later calls (an eviction race, a deferred
@@ -387,8 +358,7 @@ func OpenDurable(cfg Config) (*System, *RecoveryInfo, error) {
 	if cfg.DisableMetrics {
 		reg.SetEnabled(false)
 	}
-	st, info, err := storage.Open(cfg.DataDir, storage.Options{
-		Backend: cfg.Backend,
+	st, info, err := store.Open(cfg.DataDir, store.Options{
 		Sync:    cfg.Fsync,
 		Metrics: reg,
 		Faults:  cfg.Faults,
@@ -438,22 +408,10 @@ func (s *System) Checkpoint() error { return s.mgr.Checkpoint() }
 // graphs.
 func (s *System) StateDigest() string { return s.mgr.StateDigest() }
 
-// OpenWithCatalog creates a System whose Resource View Catalog is read
-// from r (previously written by SaveCatalog). OIDs stay stable across
-// restarts: re-adding the same sources and indexing re-associates live
-// views with their persisted identities.
-func OpenWithCatalog(cfg Config, r io.Reader) (*System, error) {
-	cat, err := catalog.Load(r)
-	if err != nil {
-		return nil, err
-	}
-	return open(cfg, cat, nil, nil), nil
-}
-
 // open assembles a System. st and reg are non-nil only on the durable
 // path (OpenDurable creates the registry early so the store's recovery
 // instruments land in the same registry as everything else).
-func open(cfg Config, cat *catalog.Catalog, st storage.Engine, reg *obs.Registry) *System {
+func open(cfg Config, cat *catalog.Catalog, st *store.Store, reg *obs.Registry) *System {
 	opts := rvm.DefaultOptions()
 	if cfg.ReplicateGroups != nil {
 		opts.ReplicateGroups = *cfg.ReplicateGroups
@@ -514,10 +472,6 @@ func open(cfg Config, cat *catalog.Catalog, st storage.Engine, reg *obs.Registry
 	}
 	return s
 }
-
-// SaveCatalog persists the Resource View Catalog to w; OpenWithCatalog
-// restores it.
-func (s *System) SaveCatalog(w io.Writer) error { return s.mgr.Catalog().Save(w) }
 
 // Converters returns the Content2iDM converter registry; custom
 // converters may be registered before indexing.

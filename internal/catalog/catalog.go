@@ -4,14 +4,14 @@
 // the metadata the Replica&Indexes module and the query processor need
 // (class, data source, URI within the source, structural parent, and
 // component-presence flags). It substitutes for the Apache Derby
-// instance of the paper's prototype; persistence uses encoding/gob.
+// instance of the paper's prototype; durability is the job of
+// internal/store, from whose recovered state Rebuild reconstructs a
+// catalog.
 package catalog
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 )
@@ -365,46 +365,4 @@ func (c *Catalog) SizeBytes() int64 {
 	}
 	n += int64(len(c.byURI)) * 24
 	return n
-}
-
-// snapshot is the gob persistence format.
-type snapshot struct {
-	Next    OID
-	Entries []Entry
-}
-
-// Save writes the catalog to w in gob format.
-func (c *Catalog) Save(w io.Writer) error {
-	c.mu.RLock()
-	snap := snapshot{Next: c.next, Entries: make([]Entry, 0, len(c.entries))}
-	for _, e := range c.entries {
-		snap.Entries = append(snap.Entries, *e)
-	}
-	c.mu.RUnlock()
-	sort.Slice(snap.Entries, func(i, j int) bool { return snap.Entries[i].OID < snap.Entries[j].OID })
-	return gob.NewEncoder(w).Encode(snap)
-}
-
-// Load reads a catalog previously written by Save.
-func Load(r io.Reader) (*Catalog, error) {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("catalog: load: %w", err)
-	}
-	c := New()
-	c.next = snap.Next
-	for i := range snap.Entries {
-		e := snap.Entries[i]
-		c.entries[e.OID] = &e
-		if e.URI != "" {
-			c.byURI[uriKey(e.Source, e.URI)] = e.OID
-		}
-		src := c.bySrc[e.Source]
-		if src == nil {
-			src = make(map[OID]struct{})
-			c.bySrc[e.Source] = src
-		}
-		src[e.OID] = struct{}{}
-	}
-	return c, nil
 }

@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -139,41 +138,6 @@ func TestSizeBytesGrows(t *testing.T) {
 	c.Register(Entry{Name: "long name here", Source: "fs", URI: "/long/path/entry"})
 	if c.SizeBytes() <= empty {
 		t.Error("size did not grow")
-	}
-}
-
-func TestSaveLoadRoundtrip(t *testing.T) {
-	c := New()
-	o1 := c.Register(Entry{Name: "a", Source: "fs", URI: "/a", Class: "file", ContentSize: 7})
-	c.Register(Entry{Name: "b", Source: "mail", URI: "m/1", Derived: true})
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Count() != 2 {
-		t.Fatalf("loaded count = %d", loaded.Count())
-	}
-	e, err := loaded.Get(o1)
-	if err != nil || e.Name != "a" || e.ContentSize != 7 {
-		t.Errorf("loaded entry = %+v, %v", e, err)
-	}
-	if _, err := loaded.ByURI("mail", "m/1"); err != nil {
-		t.Errorf("uri map not rebuilt: %v", err)
-	}
-	// OID allocation continues after the highest persisted OID.
-	next := loaded.Register(Entry{Name: "c", Source: "fs", URI: "/c"})
-	if next <= 2 {
-		t.Errorf("next oid = %d, want > 2", next)
-	}
-}
-
-func TestLoadCorruptData(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not gob"))); err == nil {
-		t.Error("corrupt data accepted")
 	}
 }
 

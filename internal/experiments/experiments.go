@@ -35,7 +35,6 @@ import (
 	"repro/internal/sources/mailplugin"
 	"repro/internal/sources/relplugin"
 	"repro/internal/sources/rssplugin"
-	"repro/internal/storage"
 	"repro/internal/store"
 )
 
@@ -924,7 +923,7 @@ func BenchIndexBuild(scale float64, seed int64, reps int) (*IndexBuild, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	eng, _, err := storage.Open(dir, storage.Options{Sync: store.SyncNever})
+	eng, _, err := store.Open(dir, store.Options{Sync: store.SyncNever})
 	if err != nil {
 		return nil, err
 	}

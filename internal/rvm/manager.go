@@ -20,7 +20,7 @@ import (
 	"repro/internal/imageindex"
 	"repro/internal/obs"
 	"repro/internal/sources"
-	"repro/internal/storage"
+	"repro/internal/store"
 	"repro/internal/stream"
 	"repro/internal/textindex"
 	"repro/internal/tupleindex"
@@ -60,9 +60,9 @@ type Options struct {
 	// Store is the durability layer: when set, every replica commit
 	// (view upserts, group-edge commits, removals) is written to its
 	// log before being applied in memory, and RemoveSource drops the
-	// source's persisted segments. Any storage.Engine backend works;
-	// nil keeps the dataspace in-memory only. See docs/PERSISTENCE.md.
-	Store storage.Engine
+	// source's persisted segments. nil keeps the dataspace in-memory
+	// only. See docs/PERSISTENCE.md.
+	Store *store.Store
 	// NoBulkRestore disables the sort-based bulk index build during
 	// RestoreFromState, forcing the incremental per-view insert path
 	// (the bulk-vs-incremental differential tests and the cold-start

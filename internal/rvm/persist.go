@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/imageindex"
-	"repro/internal/storage"
 	"repro/internal/store"
 	"repro/internal/textindex"
 	"repro/internal/tupleindex"
@@ -19,7 +18,7 @@ import (
 
 // Store returns the durability layer the manager logs to (nil when the
 // dataspace is in-memory only).
-func (m *Manager) Store() storage.Engine { return m.opts.Store }
+func (m *Manager) Store() *store.Store { return m.opts.Store }
 
 // Checkpoint compacts the durable state into a fresh snapshot and
 // truncates the WAL; a no-op without a store.

@@ -46,8 +46,6 @@ type Quota struct {
 type Config struct {
 	// Root is the data root; tenant t lives in Root/t.
 	Root string
-	// Backend selects the per-tenant storage engine (default wal).
-	Backend idm.StorageBackend
 	// Fsync selects the per-tenant WAL flush policy.
 	Fsync idm.SyncPolicy
 	// MaxOpenTenants caps concurrently open tenant Systems; the least

@@ -10,8 +10,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	idm "repro"
 )
 
 // newTestServer builds a Server over a temp root and a real HTTP
@@ -580,28 +578,5 @@ func TestCheckpointAndDatasetSource(t *testing.T) {
 	}
 	if d != out.Digest {
 		t.Fatalf("digest after checkpoint %s != checkpoint digest %s", d, out.Digest)
-	}
-}
-
-// TestBackendCompact runs a seed + evict + digest cycle on the compact
-// backend: the server seam is backend-agnostic.
-func TestBackendCompact(t *testing.T) {
-	_, c := newTestServer(t, Config{MaxOpenTenants: 1, Backend: idm.BackendCompact})
-	if err := seedTenant(c, "cpa", "cpamark", 4); err != nil {
-		t.Fatal(err)
-	}
-	d1, err := c.digest("cpa")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seedTenant(c, "cpb", "cpbmark", 4); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := c.digest("cpa")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 != d2 {
-		t.Fatalf("compact-backend digest drifted across eviction: %s != %s", d1, d2)
 	}
 }

@@ -2,7 +2,7 @@ package storage
 
 import (
 	"errors"
-	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,13 +12,10 @@ import (
 	"repro/internal/store"
 )
 
-// This file is the backend conformance suite: every test runs against
-// both storage engines through the factory, pinning the shared
-// append/tail/recover/drop/digest semantics plus the crash matrix. A
-// third backend only has to pass this suite (and the root-level
-// durability harnesses) to be a drop-in.
-
-var backends = []Backend{BackendWAL, BackendCompact}
+// This file is the storage engine's conformance suite: it pins the
+// append/tail/recover/drop/digest semantics plus the crash matrix
+// through Open. Each test runs under a "wal" subtest named for the
+// engine.
 
 func upsert(oid catalog.OID, source, uri string) store.Record {
 	return store.Record{Kind: store.KindUpsert, View: &store.ViewRecord{Entry: catalog.Entry{
@@ -61,9 +58,8 @@ func sourceOf(rec store.Record) string {
 	}
 }
 
-func mustOpenB(t *testing.T, b Backend, dir string, opts Options) (Engine, store.RecoveryInfo) {
+func mustOpen(t *testing.T, dir string, opts Options) (*store.Store, store.RecoveryInfo) {
 	t.Helper()
-	opts.Backend = b
 	eng, info, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +67,7 @@ func mustOpenB(t *testing.T, b Backend, dir string, opts Options) (Engine, store
 	return eng, info
 }
 
-func appendAll(t *testing.T, eng Engine, recs []store.Record) {
+func appendAll(t *testing.T, eng *store.Store, recs []store.Record) {
 	t.Helper()
 	for _, rec := range recs {
 		if err := eng.Append(sourceOf(rec), rec); err != nil {
@@ -81,302 +77,275 @@ func appendAll(t *testing.T, eng Engine, recs []store.Record) {
 }
 
 // referenceDigest runs the first n workload records through a clean
-// engine of the same backend and returns its digest — the oracle the
-// crash matrix compares recovered states against.
-func referenceDigest(t *testing.T, b Backend, n int) string {
+// engine and returns its digest — the oracle the crash matrix compares
+// recovered states against.
+func referenceDigest(t *testing.T, n int) string {
 	t.Helper()
-	eng, _ := mustOpenB(t, b, t.TempDir(), Options{})
+	eng, _ := mustOpen(t, t.TempDir(), Options{})
 	defer eng.Close()
 	appendAll(t, eng, workload()[:n])
 	return eng.Digest()
 }
 
 func TestConformanceAppendReopenEquivalence(t *testing.T) {
-	for _, b := range backends {
-		t.Run(b.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			eng, _ := mustOpenB(t, b, dir, Options{})
-			appendAll(t, eng, workload())
-			want := eng.Digest()
-			if err := eng.Close(); err != nil {
-				t.Fatal(err)
-			}
+	t.Run("wal", func(t *testing.T) {
+		dir := t.TempDir()
+		eng, _ := mustOpen(t, dir, Options{})
+		appendAll(t, eng, workload())
+		want := eng.Digest()
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			eng2, info := mustOpenB(t, b, dir, Options{})
-			defer eng2.Close()
-			if got := eng2.Digest(); got != want {
-				t.Fatalf("recovered digest %s != shadow digest %s", got, want)
-			}
-			if len(info.Warnings) != 0 {
-				t.Fatalf("clean recovery produced warnings: %v", info.Warnings)
-			}
-			if st := eng2.State(); len(st.Views) != 3 {
-				t.Fatalf("recovered %d views, want 3", len(st.Views))
-			}
-			if st := eng2.State(); st.NextOID != 9 {
-				t.Fatalf("recovered NextOID %d, want 9", st.NextOID)
-			}
-		})
-	}
+		eng2, info := mustOpen(t, dir, Options{})
+		defer eng2.Close()
+		if got := eng2.Digest(); got != want {
+			t.Fatalf("recovered digest %s != shadow digest %s", got, want)
+		}
+		if len(info.Warnings) != 0 {
+			t.Fatalf("clean recovery produced warnings: %v", info.Warnings)
+		}
+		if st := eng2.State(); len(st.Views) != 3 {
+			t.Fatalf("recovered %d views, want 3", len(st.Views))
+		}
+		if st := eng2.State(); st.NextOID != 9 {
+			t.Fatalf("recovered NextOID %d, want 9", st.NextOID)
+		}
+	})
 }
 
 func TestConformanceDeadAfterClose(t *testing.T) {
-	for _, b := range backends {
-		t.Run(b.String(), func(t *testing.T) {
-			eng, _ := mustOpenB(t, b, t.TempDir(), Options{})
-			eng.Close()
-			if err := eng.Append("fs", upsert(1, "fs", "/a")); err == nil {
-				t.Fatal("append after close succeeded")
-			}
-		})
-	}
+	t.Run("wal", func(t *testing.T) {
+		eng, _ := mustOpen(t, t.TempDir(), Options{})
+		eng.Close()
+		if err := eng.Append("fs", upsert(1, "fs", "/a")); err == nil {
+			t.Fatal("append after close succeeded")
+		}
+	})
 }
 
 func TestConformanceSnapshotCompaction(t *testing.T) {
-	for _, b := range backends {
-		t.Run(b.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			eng, _ := mustOpenB(t, b, dir, Options{})
-			appendAll(t, eng, workload())
-			want := eng.Digest()
-			if eng.SnapshotSeq() != 0 {
-				t.Fatalf("snapshot seq %d before first snapshot", eng.SnapshotSeq())
-			}
-			if err := eng.Snapshot(); err != nil {
-				t.Fatal(err)
-			}
-			seq := eng.SnapshotSeq()
-			if seq == 0 {
-				t.Fatal("snapshot seq still 0 after snapshot")
-			}
-			if eng.BaseLSN() != eng.NextLSN() {
-				t.Fatalf("base LSN %d != next LSN %d after compaction", eng.BaseLSN(), eng.NextLSN())
-			}
-			if got := eng.Digest(); got != want {
-				t.Fatalf("compaction changed the digest: %s != %s", got, want)
-			}
-			// Appends continue; recovery = compacted form + tail.
-			if err := eng.Append("fs", upsert(10, "fs", "/post")); err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.Append("fs", edges("fs", 1, 4, 10)); err != nil {
-				t.Fatal(err)
-			}
-			want2 := eng.Digest()
-			if want2 == want {
-				t.Fatal("digest did not change after post-snapshot append")
-			}
-			// A second compaction with more history moves the sequence on.
-			if err := eng.Snapshot(); err != nil {
-				t.Fatal(err)
-			}
-			if eng.SnapshotSeq() <= seq {
-				t.Fatalf("snapshot seq %d did not advance past %d", eng.SnapshotSeq(), seq)
-			}
-			eng.Close()
+	t.Run("wal", func(t *testing.T) {
+		dir := t.TempDir()
+		eng, _ := mustOpen(t, dir, Options{})
+		appendAll(t, eng, workload())
+		want := eng.Digest()
+		if eng.SnapshotSeq() != 0 {
+			t.Fatalf("snapshot seq %d before first snapshot", eng.SnapshotSeq())
+		}
+		if err := eng.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		seq := eng.SnapshotSeq()
+		if seq == 0 {
+			t.Fatal("snapshot seq still 0 after snapshot")
+		}
+		if eng.BaseLSN() != eng.NextLSN() {
+			t.Fatalf("base LSN %d != next LSN %d after compaction", eng.BaseLSN(), eng.NextLSN())
+		}
+		if got := eng.Digest(); got != want {
+			t.Fatalf("compaction changed the digest: %s != %s", got, want)
+		}
+		// Appends continue; recovery = compacted form + tail.
+		if err := eng.Append("fs", upsert(10, "fs", "/post")); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Append("fs", edges("fs", 1, 4, 10)); err != nil {
+			t.Fatal(err)
+		}
+		want2 := eng.Digest()
+		if want2 == want {
+			t.Fatal("digest did not change after post-snapshot append")
+		}
+		// A second compaction with more history moves the sequence on.
+		if err := eng.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if eng.SnapshotSeq() <= seq {
+			t.Fatalf("snapshot seq %d did not advance past %d", eng.SnapshotSeq(), seq)
+		}
+		eng.Close()
 
-			eng2, info := mustOpenB(t, b, dir, Options{})
-			defer eng2.Close()
-			if got := eng2.Digest(); got != want2 {
-				t.Fatalf("recovered digest %s != %s", got, want2)
-			}
-			if info.SnapshotSeq == 0 {
-				t.Fatal("recovery did not report the compaction")
-			}
-			if len(info.Warnings) != 0 {
-				t.Fatalf("clean recovery produced warnings: %v", info.Warnings)
-			}
-		})
-	}
+		eng2, info := mustOpen(t, dir, Options{})
+		defer eng2.Close()
+		if got := eng2.Digest(); got != want2 {
+			t.Fatalf("recovered digest %s != %s", got, want2)
+		}
+		if info.SnapshotSeq == 0 {
+			t.Fatal("recovery did not report the compaction")
+		}
+		if len(info.Warnings) != 0 {
+			t.Fatalf("clean recovery produced warnings: %v", info.Warnings)
+		}
+	})
 }
 
 func TestConformanceTailSince(t *testing.T) {
-	for _, b := range backends {
-		t.Run(b.String(), func(t *testing.T) {
-			eng, _ := mustOpenB(t, b, t.TempDir(), Options{})
-			defer eng.Close()
-			recs := workload()
-			appendAll(t, eng, recs)
+	t.Run("wal", func(t *testing.T) {
+		eng, _ := mustOpen(t, t.TempDir(), Options{})
+		defer eng.Close()
+		recs := workload()
+		appendAll(t, eng, recs)
 
-			// Full tail from zero: every record in strictly increasing LSN
-			// order.
-			tail, next, ok, err := eng.TailSince(0)
-			if err != nil || !ok {
-				t.Fatalf("TailSince(0): ok=%v err=%v", ok, err)
+		// Full tail from zero: every record in strictly increasing LSN
+		// order.
+		tail, next, ok, err := eng.TailSince(0)
+		if err != nil || !ok {
+			t.Fatalf("TailSince(0): ok=%v err=%v", ok, err)
+		}
+		if len(tail) != len(recs) {
+			t.Fatalf("tailed %d records, want %d", len(tail), len(recs))
+		}
+		if next != eng.NextLSN() {
+			t.Fatalf("tail next %d != engine next %d", next, eng.NextLSN())
+		}
+		for i := 1; i < len(tail); i++ {
+			if tail[i].LSN <= tail[i-1].LSN {
+				t.Fatalf("tail LSNs not strictly increasing: %d after %d", tail[i].LSN, tail[i-1].LSN)
 			}
-			if len(tail) != len(recs) {
-				t.Fatalf("tailed %d records, want %d", len(tail), len(recs))
-			}
-			if next != eng.NextLSN() {
-				t.Fatalf("tail next %d != engine next %d", next, eng.NextLSN())
-			}
-			for i := 1; i < len(tail); i++ {
-				if tail[i].LSN <= tail[i-1].LSN {
-					t.Fatalf("tail LSNs not strictly increasing: %d after %d", tail[i].LSN, tail[i-1].LSN)
-				}
-			}
-			// A mid-log cursor resumes exactly after its position.
-			mid := tail[4].LSN
-			tail2, _, ok, err := eng.TailSince(mid)
-			if err != nil || !ok {
-				t.Fatalf("TailSince(mid): ok=%v err=%v", ok, err)
-			}
-			if len(tail2) != len(recs)-5 {
-				t.Fatalf("mid tail %d records, want %d", len(tail2), len(recs)-5)
-			}
-			if tail2[0].LSN <= mid {
-				t.Fatalf("mid tail starts at %d, want > %d", tail2[0].LSN, mid)
-			}
+		}
+		// A mid-log cursor resumes exactly after its position.
+		mid := tail[4].LSN
+		tail2, _, ok, err := eng.TailSince(mid)
+		if err != nil || !ok {
+			t.Fatalf("TailSince(mid): ok=%v err=%v", ok, err)
+		}
+		if len(tail2) != len(recs)-5 {
+			t.Fatalf("mid tail %d records, want %d", len(tail2), len(recs)-5)
+		}
+		if tail2[0].LSN <= mid {
+			t.Fatalf("mid tail starts at %d, want > %d", tail2[0].LSN, mid)
+		}
 
-			// Compaction drops history below the watermark: an old cursor
-			// must be told to fall back to a full-state transfer.
-			if err := eng.Snapshot(); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, ok, err := eng.TailSince(mid); err != nil || ok {
-				t.Fatalf("TailSince below base after compaction: ok=%v err=%v, want ok=false", ok, err)
-			}
-			// The watermark cursor itself still works (empty tail).
-			tail3, _, ok, err := eng.TailSince(eng.NextLSN() - 1)
-			if err != nil || !ok {
-				t.Fatalf("TailSince(at watermark): ok=%v err=%v", ok, err)
-			}
-			if len(tail3) != 0 {
-				t.Fatalf("watermark tail has %d records, want 0", len(tail3))
-			}
-		})
-	}
+		// Compaction drops history below the watermark: an old cursor
+		// must be told to fall back to a full-state transfer.
+		if err := eng.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok, err := eng.TailSince(mid); err != nil || ok {
+			t.Fatalf("TailSince below base after compaction: ok=%v err=%v, want ok=false", ok, err)
+		}
+		// The watermark cursor itself still works (empty tail).
+		tail3, _, ok, err := eng.TailSince(eng.NextLSN() - 1)
+		if err != nil || !ok {
+			t.Fatalf("TailSince(at watermark): ok=%v err=%v", ok, err)
+		}
+		if len(tail3) != 0 {
+			t.Fatalf("watermark tail has %d records, want 0", len(tail3))
+		}
+	})
 }
 
 func TestConformanceCloneStateIsolated(t *testing.T) {
-	for _, b := range backends {
-		t.Run(b.String(), func(t *testing.T) {
-			eng, _ := mustOpenB(t, b, t.TempDir(), Options{})
-			defer eng.Close()
-			appendAll(t, eng, workload())
-			clone, next := eng.CloneState()
-			if next != eng.NextLSN() {
-				t.Fatalf("clone next %d != %d", next, eng.NextLSN())
-			}
-			want := clone.Digest()
-			if err := eng.Append("fs", upsert(20, "fs", "/new")); err != nil {
-				t.Fatal(err)
-			}
-			if clone.Digest() != want {
-				t.Fatal("append mutated a cloned state")
-			}
-		})
-	}
+	t.Run("wal", func(t *testing.T) {
+		eng, _ := mustOpen(t, t.TempDir(), Options{})
+		defer eng.Close()
+		appendAll(t, eng, workload())
+		clone, next := eng.CloneState()
+		if next != eng.NextLSN() {
+			t.Fatalf("clone next %d != %d", next, eng.NextLSN())
+		}
+		want := clone.Digest()
+		if err := eng.Append("fs", upsert(20, "fs", "/new")); err != nil {
+			t.Fatal(err)
+		}
+		if clone.Digest() != want {
+			t.Fatal("append mutated a cloned state")
+		}
+	})
 }
 
 func TestConformanceDropSource(t *testing.T) {
-	for _, b := range backends {
-		t.Run(b.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			eng, _ := mustOpenB(t, b, dir, Options{})
-			appendAll(t, eng, workload())
-			// The compact backend materializes per-source artifacts at
-			// compaction time; the WAL backend holds them between
-			// snapshots. Arrange for both to have one before the drop.
-			if b == BackendCompact {
-				if err := eng.Snapshot(); err != nil {
-					t.Fatal(err)
-				}
+	t.Run("wal", func(t *testing.T) {
+		dir := t.TempDir()
+		eng, _ := mustOpen(t, dir, Options{})
+		appendAll(t, eng, workload())
+		if !eng.HasSegment("mail") {
+			t.Fatal("mail has no segment")
+		}
+		if err := eng.DropSource("mail", 9); err != nil {
+			t.Fatal(err)
+		}
+		if eng.HasSegment("mail") {
+			t.Fatal("mail segment survived DropSource")
+		}
+		// Stray trailing records for the dropped source are suppressed
+		// until an upsert re-adds it.
+		if err := eng.Append("mail", edges("mail", 3)); err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range eng.State().Views {
+			if v.Entry.Source == "mail" {
+				t.Fatalf("dropped source still has view %d", v.Entry.OID)
 			}
-			seg, ok := eng.(interface{ HasSegment(string) bool })
-			if !ok {
-				t.Fatalf("%T lacks the HasSegment tooling hook", eng)
-			}
-			if !seg.HasSegment("mail") {
-				t.Fatal("mail has no per-source artifact after compaction")
-			}
-			if err := eng.DropSource("mail", 9); err != nil {
-				t.Fatal(err)
-			}
-			if seg.HasSegment("mail") {
-				t.Fatal("mail artifact survived DropSource")
-			}
-			// Stray trailing records for the dropped source are suppressed
-			// until an upsert re-adds it.
-			if err := eng.Append("mail", edges("mail", 3)); err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range eng.State().Views {
-				if v.Entry.Source == "mail" {
-					t.Fatalf("dropped source still has view %d", v.Entry.OID)
-				}
-			}
-			if _, ok := eng.State().Edges["mail"]; ok {
-				t.Fatal("suppressed edge record reached the state")
-			}
-			if err := eng.Append("mail", upsert(11, "mail", "/inbox/2")); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := eng.State().Views[11]; !ok {
-				t.Fatal("re-added source's upsert was suppressed")
-			}
-			if eng.State().NextOID != 11 {
-				t.Fatalf("NextOID %d, want 11", eng.State().NextOID)
-			}
-			want := eng.Digest()
-			eng.Close()
+		}
+		if _, ok := eng.State().Edges["mail"]; ok {
+			t.Fatal("suppressed edge record reached the state")
+		}
+		if err := eng.Append("mail", upsert(11, "mail", "/inbox/2")); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := eng.State().Views[11]; !ok {
+			t.Fatal("re-added source's upsert was suppressed")
+		}
+		if eng.State().NextOID != 11 {
+			t.Fatalf("NextOID %d, want 11", eng.State().NextOID)
+		}
+		want := eng.Digest()
+		eng.Close()
 
-			eng2, _ := mustOpenB(t, b, dir, Options{})
-			defer eng2.Close()
-			if got := eng2.Digest(); got != want {
-				t.Fatalf("recovered digest %s != %s after drop", got, want)
-			}
-		})
-	}
+		eng2, _ := mustOpen(t, dir, Options{})
+		defer eng2.Close()
+		if got := eng2.Digest(); got != want {
+			t.Fatalf("recovered digest %s != %s after drop", got, want)
+		}
+	})
 }
 
-// TestConformanceCrashMatrix is the write-path crash matrix run through
-// the interface: for every record position k and both crash flavors
+// TestConformanceCrashMatrix is the write-path crash matrix: for every record position k and both crash flavors
 // (clean boundary, torn mid-frame), the recovered state must equal the
 // reference state holding exactly the first k-1 records, and only the
 // torn flavor may warn.
 func TestConformanceCrashMatrix(t *testing.T) {
 	recs := workload()
-	for _, b := range backends {
-		for _, flavor := range []string{"boundary", "torn"} {
-			point := store.FaultAppend
-			if flavor == "torn" {
-				point = store.FaultTorn
-			}
-			t.Run(fmt.Sprintf("%s/%s", b, flavor), func(t *testing.T) {
-				for k := 1; k <= len(recs); k++ {
-					dir := t.TempDir()
-					inj := fault.New(1)
-					inj.Add(fault.Rule{Point: point, Kind: fault.Error, After: k - 1, Times: 1})
-					eng, _ := mustOpenB(t, b, dir, Options{Faults: inj})
-					var failed error
-					for _, rec := range recs {
-						if failed = eng.Append(sourceOf(rec), rec); failed != nil {
-							break
-						}
-					}
-					if !errors.Is(failed, store.ErrCrashed) {
-						t.Fatalf("k=%d: crash did not surface ErrCrashed: %v", k, failed)
-					}
-					// Post-crash the engine refuses everything.
-					if err := eng.Append("fs", upsert(99, "fs", "/late")); !errors.Is(err, store.ErrCrashed) {
-						t.Fatalf("k=%d: append after crash: %v", k, err)
-					}
-
-					eng2, info := mustOpenB(t, b, dir, Options{})
-					if got, want := eng2.Digest(), referenceDigest(t, b, k-1); got != want {
-						t.Fatalf("k=%d: recovered digest %s != reference prefix digest %s", k, got, want)
-					}
-					if flavor == "torn" && info.TornTails == 0 {
-						t.Fatalf("k=%d: torn crash recovered without a torn-tail warning", k)
-					}
-					if flavor == "boundary" && len(info.Warnings) != 0 {
-						t.Fatalf("k=%d: boundary crash produced warnings: %v", k, info.Warnings)
-					}
-					eng2.Close()
-				}
-			})
+	for _, flavor := range []string{"boundary", "torn"} {
+		point := store.FaultAppend
+		if flavor == "torn" {
+			point = store.FaultTorn
 		}
+		t.Run("wal/"+flavor, func(t *testing.T) {
+			for k := 1; k <= len(recs); k++ {
+				dir := t.TempDir()
+				inj := fault.New(1)
+				inj.Add(fault.Rule{Point: point, Kind: fault.Error, After: k - 1, Times: 1})
+				eng, _ := mustOpen(t, dir, Options{Faults: inj})
+				var failed error
+				for _, rec := range recs {
+					if failed = eng.Append(sourceOf(rec), rec); failed != nil {
+						break
+					}
+				}
+				if !errors.Is(failed, store.ErrCrashed) {
+					t.Fatalf("k=%d: crash did not surface ErrCrashed: %v", k, failed)
+				}
+				// Post-crash the engine refuses everything.
+				if err := eng.Append("fs", upsert(99, "fs", "/late")); !errors.Is(err, store.ErrCrashed) {
+					t.Fatalf("k=%d: append after crash: %v", k, err)
+				}
+
+				eng2, info := mustOpen(t, dir, Options{})
+				if got, want := eng2.Digest(), referenceDigest(t, k-1); got != want {
+					t.Fatalf("k=%d: recovered digest %s != reference prefix digest %s", k, got, want)
+				}
+				if flavor == "torn" && info.TornTails == 0 {
+					t.Fatalf("k=%d: torn crash recovered without a torn-tail warning", k)
+				}
+				if flavor == "boundary" && len(info.Warnings) != 0 {
+					t.Fatalf("k=%d: boundary crash produced warnings: %v", k, info.Warnings)
+				}
+				eng2.Close()
+			}
+		})
 	}
 }
 
@@ -386,139 +355,103 @@ func TestConformanceCrashMatrix(t *testing.T) {
 // re-entrant).
 func TestConformanceDoubleCrash(t *testing.T) {
 	recs := workload()
-	for _, b := range backends {
-		t.Run(b.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			eng, _ := mustOpenB(t, b, dir, Options{})
-			appendAll(t, eng, recs)
-			want := eng.Digest()
-			eng.Close()
+	t.Run("wal", func(t *testing.T) {
+		dir := t.TempDir()
+		eng, _ := mustOpen(t, dir, Options{})
+		appendAll(t, eng, recs)
+		want := eng.Digest()
+		eng.Close()
 
-			for k := 1; k <= len(recs); k++ {
-				inj := fault.New(1)
-				inj.Add(fault.Rule{Point: store.FaultReplay, Kind: fault.Error, After: k - 1, Times: 1})
-				if _, _, err := Open(dir, Options{Backend: b, Faults: inj}); !errors.Is(err, store.ErrCrashed) {
-					t.Fatalf("k=%d: recovery crash surfaced %v, want ErrCrashed", k, err)
-				}
+		for k := 1; k <= len(recs); k++ {
+			inj := fault.New(1)
+			inj.Add(fault.Rule{Point: store.FaultReplay, Kind: fault.Error, After: k - 1, Times: 1})
+			if _, _, err := Open(dir, Options{Faults: inj}); !errors.Is(err, store.ErrCrashed) {
+				t.Fatalf("k=%d: recovery crash surfaced %v, want ErrCrashed", k, err)
 			}
-			eng2, _ := mustOpenB(t, b, dir, Options{})
-			defer eng2.Close()
-			if got := eng2.Digest(); got != want {
-				t.Fatalf("digest after crashed recoveries %s != %s", got, want)
-			}
-		})
-	}
+		}
+		eng2, _ := mustOpen(t, dir, Options{})
+		defer eng2.Close()
+		if got := eng2.Digest(); got != want {
+			t.Fatalf("digest after crashed recoveries %s != %s", got, want)
+		}
+	})
 }
 
 // TestConformanceCrashDuringSnapshot arms the snapshot fault: a crash
 // before the compaction writes anything must leave the pre-snapshot
 // directory fully recoverable with no compaction recorded.
 func TestConformanceCrashDuringSnapshot(t *testing.T) {
-	for _, b := range backends {
-		t.Run(b.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			inj := fault.New(1)
-			inj.Add(fault.Rule{Point: store.FaultSnapshot, Kind: fault.Error, Times: 1})
-			eng, _ := mustOpenB(t, b, dir, Options{Faults: inj})
-			appendAll(t, eng, workload())
-			want := eng.Digest()
-			if err := eng.Snapshot(); !errors.Is(err, store.ErrCrashed) {
-				t.Fatalf("snapshot crash surfaced %v, want ErrCrashed", err)
-			}
+	t.Run("wal", func(t *testing.T) {
+		dir := t.TempDir()
+		inj := fault.New(1)
+		inj.Add(fault.Rule{Point: store.FaultSnapshot, Kind: fault.Error, Times: 1})
+		eng, _ := mustOpen(t, dir, Options{Faults: inj})
+		appendAll(t, eng, workload())
+		want := eng.Digest()
+		if err := eng.Snapshot(); !errors.Is(err, store.ErrCrashed) {
+			t.Fatalf("snapshot crash surfaced %v, want ErrCrashed", err)
+		}
 
-			eng2, info := mustOpenB(t, b, dir, Options{})
-			defer eng2.Close()
-			if info.SnapshotSeq != 0 {
-				t.Fatalf("crashed snapshot left seq %d, want 0", info.SnapshotSeq)
-			}
-			if got := eng2.Digest(); got != want {
-				t.Fatalf("recovered digest %s != %s", got, want)
-			}
-		})
-	}
+		eng2, info := mustOpen(t, dir, Options{})
+		defer eng2.Close()
+		if info.SnapshotSeq != 0 {
+			t.Fatalf("crashed snapshot left seq %d, want 0", info.SnapshotSeq)
+		}
+		if got := eng2.Digest(); got != want {
+			t.Fatalf("recovered digest %s != %s", got, want)
+		}
+	})
 }
 
-// TestDirLockExclusive pins the data-dir lock satellite: a second open
-// of a live directory fails with a clear error for every backend pair
-// (same backend: the lock; other backend: the layout-mismatch check,
-// which fires before the lock is even attempted), and closing the
-// first engine releases the lock.
+// TestDirLockExclusive pins the data-dir lock: a second open of a live
+// directory fails with a clear error, and closing the first engine
+// releases the lock. The subtest is named for the engine on both opens.
 func TestDirLockExclusive(t *testing.T) {
-	for _, b := range backends {
-		for _, second := range backends {
-			t.Run(fmt.Sprintf("%s-then-%s", b, second), func(t *testing.T) {
-				dir := t.TempDir()
-				eng, _ := mustOpenB(t, b, dir, Options{})
-				want := "locked"
-				if second != b {
-					want = "was created by the"
-				}
-				if _, _, err := Open(dir, Options{Backend: second}); err == nil {
-					t.Fatal("second open of a live dir succeeded")
-				} else if !strings.Contains(err.Error(), want) {
-					t.Fatalf("second open failed without a clear error (want %q): %v", want, err)
-				}
-				if err := eng.Close(); err != nil {
-					t.Fatal(err)
-				}
-				eng2, _ := mustOpenB(t, b, dir, Options{})
-				eng2.Close()
-			})
+	t.Run("wal-then-wal", func(t *testing.T) {
+		dir := t.TempDir()
+		eng, _ := mustOpen(t, dir, Options{})
+		if _, _, err := Open(dir, Options{}); err == nil {
+			t.Fatal("second open of a live dir succeeded")
+		} else if !strings.Contains(err.Error(), "locked") {
+			t.Fatalf("second open failed without a clear error: %v", err)
 		}
-	}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		eng2, _ := mustOpen(t, dir, Options{})
+		eng2.Close()
+	})
 }
 
-// TestBackendMismatchRefused pins the layout guard: a directory created
-// by one backend cannot be reopened — even after a clean close — with
-// the other, which would otherwise lock the directory and silently
-// report an empty dataspace next to the existing data.
+// TestBackendMismatchRefused pins the guard against a directory the
+// removed compact backend wrote: Open must refuse a data dir holding a
+// compact/ subdirectory with an error naming that backend instead of
+// reporting an empty dataspace next to the existing data, and the
+// refusal must leave the directory usable.
 func TestBackendMismatchRefused(t *testing.T) {
-	for _, b := range backends {
-		t.Run(b.String(), func(t *testing.T) {
-			other := BackendCompact
-			if b == BackendCompact {
-				other = BackendWAL
-			}
-			dir := t.TempDir()
-			eng, _ := mustOpenB(t, b, dir, Options{})
-			appendAll(t, eng, []store.Record{upsert(1, "fs", "a")})
-			if err := eng.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := Open(dir, Options{Backend: other}); err == nil {
-				t.Fatalf("%s dir opened with %s backend", b, other)
-			} else if !strings.Contains(err.Error(), "was created by the "+b.String()) {
-				t.Fatalf("mismatch error does not name the creating backend: %v", err)
-			}
-			// The right backend still opens it.
-			eng2, _ := mustOpenB(t, b, dir, Options{})
-			defer eng2.Close()
-			if eng2.State().Views[1] == nil {
-				t.Fatal("data lost after refused mismatch open")
-			}
-		})
-	}
-}
-
-func TestParseBackend(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Backend
-		err  bool
-	}{
-		{"", BackendWAL, false},
-		{"wal", BackendWAL, false},
-		{"WAL", BackendWAL, false},
-		{"compact", BackendCompact, false},
-		{"lsm", 0, true},
-	}
-	for _, c := range cases {
-		got, err := ParseBackend(c.in)
-		if c.err != (err != nil) || got != c.want {
-			t.Fatalf("ParseBackend(%q) = %v, %v", c.in, got, err)
+	t.Run("compact", func(t *testing.T) {
+		dir := t.TempDir()
+		eng, _ := mustOpen(t, dir, Options{})
+		appendAll(t, eng, []store.Record{upsert(1, "fs", "/a")})
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if BackendWAL.String() != "wal" || BackendCompact.String() != "compact" {
-		t.Fatal("backend names changed")
-	}
+		compact := filepath.Join(dir, "compact")
+		if err := os.Mkdir(compact, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Open(dir, Options{}); err == nil {
+			t.Fatal("directory with a compact/ subdirectory opened")
+		} else if !strings.Contains(err.Error(), "removed compact storage backend") {
+			t.Fatalf("refusal does not name the removed compact backend: %v", err)
+		}
+		if err := os.Remove(compact); err != nil {
+			t.Fatal(err)
+		}
+		eng2, _ := mustOpen(t, dir, Options{})
+		defer eng2.Close()
+		if eng2.State().Views[1] == nil {
+			t.Fatal("data lost after the refused open")
+		}
+	})
 }

@@ -9,29 +9,29 @@ import (
 	"time"
 )
 
-// LockFileName is the advisory-lock file every storage backend creates
-// at the root of its data directory. The lock is exclusive: a second
-// process (or a second engine in the same process) opening the same
+// lockFileName is the advisory-lock file the store creates at the root
+// of its data directory. The lock is exclusive: a second process (or a
+// second store in the same process) opening the same
 // directory fails immediately instead of corrupting the log behind the
 // first one's back.
-const LockFileName = "LOCK"
+const lockFileName = "LOCK"
 
-// DirLock is a held exclusive lock on a data directory. The zero value
+// dirLock is a held exclusive lock on a data directory. The zero value
 // and nil are both safe to Release (no-ops), so error paths can release
 // unconditionally.
-type DirLock struct {
+type dirLock struct {
 	f *os.File
 }
 
-// AcquireDirLock takes the exclusive flock on dir's LOCK file without
+// acquireDirLock takes the exclusive flock on dir's LOCK file without
 // blocking. A directory already locked — by another process or another
-// engine in this one — fails with an error naming the holder (the
+// store in this one — fails with an error naming the holder (the
 // pid/hostname stamp the winning acquire wrote into the file), so a
 // multi-tenant double-open is diagnosable from the message alone. The
 // lock dies with the process, so a crashed owner never wedges the
 // directory.
-func AcquireDirLock(dir string) (*DirLock, error) {
-	path := filepath.Join(dir, LockFileName)
+func acquireDirLock(dir string) (*dirLock, error) {
+	path := filepath.Join(dir, lockFileName)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
@@ -45,11 +45,11 @@ func AcquireDirLock(dir string) (*DirLock, error) {
 		return nil, fmt.Errorf("store: data dir %s is locked by another process (%v)", dir, err)
 	}
 	writeLockOwner(f)
-	return &DirLock{f: f}, nil
+	return &dirLock{f: f}, nil
 }
 
 // Release drops the lock. Idempotent; safe on nil.
-func (l *DirLock) Release() error {
+func (l *dirLock) Release() error {
 	if l == nil || l.f == nil {
 		return nil
 	}

@@ -14,13 +14,13 @@ import (
 // identifies its holder instead of just saying "locked".
 func TestDirLockReportsHolder(t *testing.T) {
 	dir := t.TempDir()
-	l, err := AcquireDirLock(dir)
+	l, err := acquireDirLock(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Release()
 
-	_, err = AcquireDirLock(dir)
+	_, err = acquireDirLock(dir)
 	if err == nil {
 		t.Fatal("second acquire of a held lock succeeded")
 	}
@@ -36,12 +36,12 @@ func TestDirLockReportsHolder(t *testing.T) {
 	if err := l.Release(); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := AcquireDirLock(dir)
+	l2, err := acquireDirLock(dir)
 	if err != nil {
 		t.Fatalf("reacquire after release: %v", err)
 	}
 	defer l2.Release()
-	b, err := os.ReadFile(filepath.Join(dir, LockFileName))
+	b, err := os.ReadFile(filepath.Join(dir, lockFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,16 +54,16 @@ func TestDirLockReportsHolder(t *testing.T) {
 // code (or truncated stamps): the error stays clear without a holder.
 func TestDirLockEmptyStampStillErrors(t *testing.T) {
 	dir := t.TempDir()
-	l, err := AcquireDirLock(dir)
+	l, err := acquireDirLock(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Release()
 	// Blank the stamp behind the holder's back.
-	if err := os.Truncate(filepath.Join(dir, LockFileName), 0); err != nil {
+	if err := os.Truncate(filepath.Join(dir, lockFileName), 0); err != nil {
 		t.Fatal(err)
 	}
-	_, err = AcquireDirLock(dir)
+	_, err = acquireDirLock(dir)
 	if err == nil {
 		t.Fatal("second acquire succeeded")
 	}

@@ -130,7 +130,7 @@ type Store struct {
 	snapSeq  uint64
 	segments map[string]*os.File // source → open segment
 	dropped  map[string]bool     // sources whose segments were dropped
-	lock     *DirLock            // exclusive data-dir lock, held for the store's lifetime
+	lock     *dirLock            // exclusive data-dir lock, held for the store's lifetime
 }
 
 // segmentName maps a source id to its WAL segment file name. Hex keeps
@@ -158,8 +158,16 @@ func sourceOfSegment(name string) string {
 // state: the newest valid snapshot is loaded, then every WAL segment is
 // replayed in one LSN-ordered merge, tolerating a torn final record per
 // segment (the tail is truncated with a warning). Open never fails on
-// corruption — it recovers the last good prefix — only on I/O errors.
+// corruption — it recovers the last good prefix — only on I/O errors
+// and on a directory left by the removed compact backend.
 func Open(dir string, opts Options) (*Store, RecoveryInfo, error) {
+	// The compact backend kept its data under compact/, which this
+	// store never reads: opening such a directory would report an empty
+	// dataspace next to the existing data, indistinguishable from data
+	// loss.
+	if _, err := os.Stat(filepath.Join(dir, "compact")); err == nil {
+		return nil, RecoveryInfo{}, fmt.Errorf("store: %s holds a compact/ directory written by the removed compact storage backend; refusing to open it", dir)
+	}
 	start := time.Now()
 	s := &Store{
 		dir:      dir,
@@ -174,7 +182,7 @@ func Open(dir string, opts Options) (*Store, RecoveryInfo, error) {
 	if err := os.MkdirAll(s.walDir, 0o755); err != nil {
 		return nil, RecoveryInfo{}, err
 	}
-	lock, err := AcquireDirLock(dir)
+	lock, err := acquireDirLock(dir)
 	if err != nil {
 		return nil, RecoveryInfo{}, err
 	}

@@ -18,8 +18,7 @@ type docSpan struct {
 // every posting list with a counting pass — a bucket sort on term IDs
 // into two exactly-sized arenas (one []uint32 for all positions, one
 // []posting for all lists). Feeding documents in ascending DocID order
-// (the order RestoreFromState scans, and the order compacted segments
-// store) keeps each bucket naturally sorted; out-of-order feeds fall
+// (the order RestoreFromState scans) keeps each bucket naturally sorted; out-of-order feeds fall
 // back to a per-list sort. Compared with the incremental path this
 // saves the per-document term map, the per-term binary search and map
 // rehash on every insert, and the repeated posting-slice regrowth; the

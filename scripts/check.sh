@@ -33,11 +33,11 @@ go test -race -run 'Planner|Cost|Estimate|Adaptive|Cardinality|Differential' ./i
 # run first for attributable failure; ./... repeats them below.
 echo '>> go test -race ./internal/store (store gate)'
 go test -race ./internal/store
-# Storage gate: the Engine conformance suite runs every contract test
-# (append/tail/recover/drop/digest + the crash matrix + the dir lock)
-# against BOTH backends — WAL and compacted-segment — so a backend
-# can only regress attributably (docs/PERSISTENCE.md).
-echo '>> go test -race ./internal/storage (storage backend matrix)'
+# Storage gate: the storage engine's conformance suite runs every
+# contract test (append/tail/recover/drop/digest + the crash matrix +
+# the dir lock) against the WAL engine, so a contract regression fails
+# attributably here (docs/PERSISTENCE.md).
+echo '>> go test -race ./internal/storage (storage conformance suite)'
 go test -race ./internal/storage
 echo '>> go test -race -run "Crash|Corruption|Recovered|RemoveSource" . (durability gate)'
 go test -race -run 'Crash|Corruption|Recovered|RemoveSource' .
